@@ -7,23 +7,37 @@
 // for every FindVisibleById. "indexed" = the generation-stamped VisibleIndex
 // (cold = first access after invalidation, warm = unchanged generation).
 //
-// Gate: warm indexed lookup must be at least 5x faster than a legacy find —
-// the bench prints PASS/FAIL and exits nonzero on FAIL so the harness can
-// catch perf regressions. Results land in BENCH_perf.json.
+// Fuzzy locate: the visit executor's cost per exact-id miss, legacy
+// top-window walk (tests/locate_oracle.h: per-element offscreen check, id and
+// ancestor-path re-synthesis) vs VisitExecutor::LocateControl scoring the
+// VisibleIndex's top-window slice. Probes are the modeled DAG nodes whose
+// exact probe misses on a Harsh-decorated UI (the real miss workload); every
+// probe must locate to the same control on both paths.
+//
+// Gates: warm indexed lookup must be at least 5x faster than a legacy find,
+// and fuzzy locate must agree with the legacy walk on every probe — the bench
+// prints PASS/FAIL and exits nonzero on FAIL so the harness can catch
+// regressions (tools/check_bench_regression.py floors the speedups). Results
+// land in BENCH_perf.json.
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/agent/task_runner.h"
 #include "src/apps/excel_sim.h"
 #include "src/apps/ppoint_sim.h"
 #include "src/apps/word_sim.h"
+#include "src/dmi/compiled_model.h"
+#include "src/dmi/visit.h"
+#include "src/gui/instability.h"
 #include "src/ripper/identifier.h"
 #include "src/ripper/ripper.h"
 #include "src/ripper/visible_index.h"
 #include "src/support/thread_pool.h"
 #include "src/uia/tree.h"
+#include "tests/locate_oracle.h"
 
 namespace {
 
@@ -151,6 +165,89 @@ AppPerf BenchApp(const std::string& name) {
   return perf;
 }
 
+struct LocatePerf {
+  std::string app;
+  size_t probes = 0;  // DAG nodes whose exact probe misses
+  size_t located = 0;  // misses the fuzzy fallback resolves to a control
+  size_t mismatches = 0;
+  double legacy_us = 0;   // per miss
+  double indexed_us = 0;  // per miss
+  double speedup = 0;
+};
+
+workload::AppKind KindOf(const std::string& name) {
+  if (name == "WordSim") {
+    return workload::AppKind::kWord;
+  }
+  if (name == "ExcelSim") {
+    return workload::AppKind::kExcel;
+  }
+  return workload::AppKind::kPpoint;
+}
+
+LocatePerf BenchLocate(const std::string& name) {
+  LocatePerf perf;
+  perf.app = name;
+  // The modeled DAG supplies the probes (and the executor's catalog); a
+  // moderate rip depth keeps the model build quick.
+  dmi::ModelingOptions options = agentsim::TaskRunner::DefaultModelingOptions(KindOf(name));
+  options.ripper_config.max_depth = 4;
+  std::shared_ptr<const dmi::CompiledModel> model;
+  {
+    std::unique_ptr<gsim::Application> scratch = MakeApp(name);
+    ripper::GuiRipper rip(*scratch, options.ripper_config);
+    model = dmi::CompiledModel::Compile(rip.Rip(options.contexts).Canonicalized(), options);
+  }
+
+  gsim::InstabilityInjector injector(gsim::InstabilityConfig::Harsh(), 1);  // outlives app
+  std::unique_ptr<gsim::Application> app = MakeApp(name);
+  app->SetInstability(&injector);
+  const dmi::VisitConfig config;
+  dmi::VisitExecutor executor(*app, model->catalog(), config);
+  ripper::VisibleIndex index(*app);
+  std::vector<const topo::NodeInfo*> misses;
+  const topo::NavGraph& dag = model->catalog().dag();
+  for (int i = 0; i < static_cast<int>(dag.node_count()); ++i) {
+    const topo::NodeInfo& info = dag.node(i);
+    if (index.FindByIdInWindow(info.control_id, app->TopWindow()) == nullptr) {
+      misses.push_back(&info);
+    }
+  }
+  perf.probes = misses.size();
+  for (const topo::NodeInfo* info : misses) {
+    gsim::Control* want = locate_oracle::Locate(*app, *info, config.fuzzy_threshold);
+    perf.located += want != nullptr ? 1 : 0;
+    perf.mismatches += executor.LocateControl(*info) != want ? 1 : 0;
+  }
+
+  constexpr int kRounds = 3;
+  const double calls = static_cast<double>(kRounds) * static_cast<double>(misses.size());
+  size_t found = 0;
+  {
+    bench::WallTimer t;
+    for (int r = 0; r < kRounds; ++r) {
+      for (const topo::NodeInfo* info : misses) {
+        found += locate_oracle::Locate(*app, *info, config.fuzzy_threshold) != nullptr;
+      }
+    }
+    perf.legacy_us = t.ElapsedMs() * 1000.0 / calls;
+  }
+  {
+    bench::WallTimer t;
+    for (int r = 0; r < kRounds; ++r) {
+      for (const topo::NodeInfo* info : misses) {
+        found += executor.LocateControl(*info) != nullptr;
+      }
+    }
+    perf.indexed_us = t.ElapsedMs() * 1000.0 / calls;
+  }
+  if (found != 2 * kRounds * perf.located) {
+    std::abort();  // the timed loops must see the same verdicts as the check
+  }
+  perf.speedup = perf.indexed_us > 0 ? perf.legacy_us / perf.indexed_us : 1e9;
+  return perf;
+}
+
 struct RipPerf {
   std::string app;
   double uncached_ms = 0;
@@ -196,7 +293,7 @@ RipPerf BenchRip(const std::string& name) {
 }  // namespace
 
 int main() {
-  bench::PrintHeader("Micro-bench: capture & lookup, legacy walk vs VisibleIndex");
+  bench::PrintHeader("Micro-bench: capture, lookup & fuzzy locate, legacy walk vs VisibleIndex");
   bench::PerfRecorder recorder;
 
   const char* kApps[] = {"WordSim", "ExcelSim", "PpointSim"};
@@ -230,6 +327,28 @@ int main() {
     micro_rows.push_back(jsonv::Value(std::move(row)));
   }
 
+  std::printf("\nFuzzy locate per exact-id miss, legacy top-window walk vs index slice:\n");
+  std::printf("  %-10s %8s %8s | %12s %12s %9s %10s\n", "app", "misses", "located",
+              "legacy(us)", "indexed(us)", "speedup", "mismatch");
+  bench::PrintRule();
+  bool locate_ok = true;
+  jsonv::Array locate_rows;
+  for (const char* name : kApps) {
+    LocatePerf p = BenchLocate(name);
+    locate_ok = locate_ok && p.mismatches == 0 && p.probes > 0;
+    std::printf("  %-10s %8zu %8zu | %12.2f %12.2f %8.2fx %10zu\n", p.app.c_str(), p.probes,
+                p.located, p.legacy_us, p.indexed_us, p.speedup, p.mismatches);
+    jsonv::Object row;
+    row["app"] = p.app;
+    row["misses"] = jsonv::Value(static_cast<int64_t>(p.probes));
+    row["located"] = jsonv::Value(static_cast<int64_t>(p.located));
+    row["mismatches"] = jsonv::Value(static_cast<int64_t>(p.mismatches));
+    row["legacy_locate_us"] = jsonv::Value(p.legacy_us);
+    row["indexed_locate_us"] = jsonv::Value(p.indexed_us);
+    row["fuzzy_locate_speedup"] = jsonv::Value(p.speedup);
+    locate_rows.push_back(jsonv::Value(std::move(row)));
+  }
+
   std::printf("\nEnd-to-end rip, uncached vs cached (same graph required):\n");
   std::printf("  %-10s %8s | %12s %12s %8s %9s %10s\n", "app", "nodes", "uncached(ms)",
               "cached(ms)", "speedup", "hit-rate", "identical");
@@ -255,15 +374,17 @@ int main() {
 
   jsonv::Object section;
   section["lookup"] = jsonv::Value(std::move(micro_rows));
+  section["fuzzy_locate"] = jsonv::Value(std::move(locate_rows));
   section["rip_end_to_end"] = jsonv::Value(std::move(rip_rows));
   section["warm_find_speedup_gate"] = jsonv::Value(5.0);
-  section["gate_passed"] = jsonv::Value(gate_ok && match_ok && rip_ok);
+  section["gate_passed"] = jsonv::Value(gate_ok && match_ok && locate_ok && rip_ok);
   recorder.Set("micro_capture", jsonv::Value(std::move(section)));
   recorder.SetMetricsSnapshot();
   recorder.Write();
 
   std::printf("\ncapture equivalence: %s\n", match_ok ? "PASS" : "FAIL");
+  std::printf("fuzzy locate == legacy walk: %s\n", locate_ok ? "PASS" : "FAIL");
   std::printf("cached == uncached graphs: %s\n", rip_ok ? "PASS" : "FAIL");
   std::printf(">=5x warm FindVisibleById gate: %s\n", gate_ok ? "PASS" : "FAIL");
-  return (gate_ok && match_ok && rip_ok) ? 0 : 1;
+  return (gate_ok && match_ok && locate_ok && rip_ok) ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "src/dmi/visit.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "src/json/json.h"
 #include "src/ripper/identifier.h"
@@ -9,14 +10,13 @@
 #include "src/support/strings.h"
 #include "src/support/trace.h"
 #include "src/text/similarity.h"
-#include "src/uia/tree.h"
 
 namespace dmi {
 namespace {
 
 // Ancestor-path token overlap in [0,1], a weak structural signal that
 // complements name similarity during fuzzy matching.
-double AncestorOverlap(const std::string& a, const std::string& b) {
+double AncestorOverlap(std::string_view a, std::string_view b) {
   return textutil::TokenSetRatio(a, b);
 }
 
@@ -132,54 +132,35 @@ gsim::Control* VisitExecutor::LocateControl(const topo::NodeInfo& info) {
       support::MetricsRegistry::Global().GetCounter("visit.locate_fast_path");
   static support::Counter& fallback_walks =
       support::MetricsRegistry::Global().GetCounter("visit.locate_fallback_walks");
-  if (config_.enable_visible_index) {
-    // O(1) exact-id fast path; the window filter reproduces the legacy
-    // "search only the topmost valid window" scope (controls carry their
-    // containing window, including adopted popups).
-    gsim::Control* exact = index_.FindByIdInWindow(info.control_id, top);
-    if (exact != nullptr) {
-      fast_path_hits.Increment();
-      return exact;
-    }
-    if (!config_.enable_fuzzy_match) {
-      return nullptr;  // no exact match and no fuzzy fallback: nothing to find
-    }
-    // Fall through to the walk below for fuzzy scoring (its exact check is
-    // now guaranteed not to fire, so behaviour matches the legacy path).
+  // O(1) exact-id fast path, scoped to the top window's subtree.
+  gsim::Control* exact = index_.FindByIdInWindow(info.control_id, top);
+  if (exact != nullptr) {
+    fast_path_hits.Increment();
+    return exact;
   }
+  if (!config_.enable_fuzzy_match) {
+    return nullptr;  // no exact match and no fuzzy fallback: nothing to find
+  }
+  // Fuzzy fallback, counted per exact miss (the counter name predates the
+  // index). The probe above just refreshed the index, whose top-window slice
+  // holds this generation's visible controls in pre-order with ids and
+  // ancestor paths already synthesized: no tree walk. Same-type candidates
+  // are scored; name similarity dominates.
   fallback_walks.Increment();
-  // Exact identifier match first, best fuzzy candidate as fallback.
-  gsim::Control* exact = nullptr;
+  const std::string model_path = ripper::ParseControlId(info.control_id).ancestor_path;
   gsim::Control* best_fuzzy = nullptr;
   double best_score = 0.0;
-  uia::Walk(top->root(), [&](uia::Element& e, int) {
-    if (exact != nullptr) {
-      return false;
+  for (const ripper::VisibleEntry& entry : index_.WindowEntries(top)) {
+    if (entry.control->Type() != info.type) {
+      continue;
     }
-    if (e.IsOffscreen()) {
-      return false;
+    const double score =
+        0.8 * textutil::DecorationAwareScore(info.name, entry.control->Name()) +
+        0.2 * AncestorOverlap(entry.ancestor_path(), model_path);
+    if (score > best_score) {
+      best_score = score;
+      best_fuzzy = entry.control;
     }
-    if (e.RuntimeId() == 0) {
-      return true;
-    }
-    if (ripper::SynthesizeControlId(e) == info.control_id) {
-      exact = static_cast<gsim::Control*>(&e);
-      return false;
-    }
-    if (config_.enable_fuzzy_match && e.Type() == info.type) {
-      // Combine name similarity (dominant) and ancestor-path overlap.
-      const ripper::ParsedControlId parsed = ripper::ParseControlId(info.control_id);
-      double score = 0.8 * textutil::DecorationAwareScore(info.name, e.Name()) +
-                     0.2 * AncestorOverlap(uia::AncestorPath(e), parsed.ancestor_path);
-      if (score > best_score) {
-        best_score = score;
-        best_fuzzy = static_cast<gsim::Control*>(&e);
-      }
-    }
-    return true;
-  });
-  if (exact != nullptr) {
-    return exact;
   }
   if (best_fuzzy != nullptr && best_score >= config_.fuzzy_threshold) {
     return best_fuzzy;

@@ -42,9 +42,6 @@ struct VisitConfig {
   double fuzzy_threshold = 0.72;
   // How many windows the executor may close while searching for the path.
   int max_window_closes = 4;
-  // Serve exact-id control location from the generation-stamped VisibleIndex
-  // (O(1) per step on an unchanged UI). Fuzzy fallback still walks the tree.
-  bool enable_visible_index = true;
   // Typed retry schedule (DESIGN.md §11). Left unset (the default), the
   // executor derives the legacy fixed loop from enable_retry/max_retries —
   // byte-identical Tick/Locate/Click sequences; set it (e.g. via
@@ -105,13 +102,18 @@ class VisitExecutor {
   void SetFlightRecorder(support::FlightRecorder* recorder) { flight_ = recorder; }
   support::FlightRecorder* flight_recorder() const { return flight_; }
 
+  // Finds the visible control in the topmost window matching the graph node,
+  // or nullptr. Both steps read the VisibleIndex of the current UI generation
+  // (DESIGN.md §7): an exact-id hash probe first; on a miss (and with
+  // enable_fuzzy_match), the top window's index slice is scored — same
+  // control type, 0.8 x decoration-aware name score + 0.2 x ancestor-path
+  // token overlap, first maximum in pre-order, accepted at fuzzy_threshold.
+  // One attempt, no retry; the building block of every navigation step.
+  gsim::Control* LocateControl(const topo::NodeInfo& info);
+
  private:
   // Navigates along the resolved graph-node path and clicks each step.
   support::Status NavigatePath(const std::vector<int>& path, std::string& detail);
-
-  // Finds the visible control matching the graph node, exact-first then
-  // fuzzy. Returns nullptr when not found.
-  gsim::Control* LocateControl(const topo::NodeInfo& info);
   gsim::Control* LocateControlWithRetry(const topo::NodeInfo& info, std::string& detail);
 
   // The typed schedule actually used: config_.retry when set, else the

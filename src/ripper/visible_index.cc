@@ -50,6 +50,7 @@ bool VisibleIndex::Refresh() {
   const size_t last_size = entries_.size();
   entries_.clear();
   entries_.reserve(last_size);
+  windows_.clear();
 
   // One pre-order walk with incremental ancestor-path synthesis. The visit
   // order, pruning and id strings are identical to the legacy
@@ -60,17 +61,19 @@ bool VisibleIndex::Refresh() {
           return;  // prune, exactly as the legacy capture walk does
         }
         std::string name = e.Name();
-        if (e.RuntimeId() != 0) {  // the synthetic desktop root is skipped
-          VisibleEntry entry;
-          entry.control_id = PrimaryOf(e.AutomationId(), name) + "|" +
-                             std::string(uia::ControlTypeName(e.Type())) + "|" +
-                             ancestor_path;
-          entry.control = static_cast<gsim::Control*>(&e);
-          entries_.push_back(std::move(entry));
-        }
-        // A child whose public Parent() is null (window roots, floating
-        // shared surfaces) restarts its path at "" — matching
-        // uia::AncestorPath, which stops at the first null parent.
+        const std::string automation_id = e.AutomationId();
+        const std::string& primary = PrimaryOf(automation_id, name);
+        const std::string_view type = uia::ControlTypeName(e.Type());
+        VisibleEntry entry;
+        entry.control_id.reserve(primary.size() + type.size() + 2 + ancestor_path.size());
+        entry.control_id.append(primary).append(1, '|').append(type).append(1, '|');
+        entry.path_offset = static_cast<uint32_t>(entry.control_id.size());
+        entry.control_id += ancestor_path;
+        entry.control = static_cast<gsim::Control*>(&e);
+        entries_.push_back(std::move(entry));
+        // A child whose public Parent() is null (floating shared surfaces)
+        // restarts its path at "" — matching uia::AncestorPath, which stops
+        // at the first null parent.
         std::string child_path;
         bool child_path_built = false;
         for (uia::Element* child : e.Children()) {
@@ -89,21 +92,35 @@ bool VisibleIndex::Refresh() {
           descend(*child, *path);
         }
       };
-  // The desktop root itself has a null Parent(), so its windows' paths start
-  // empty; the root's own path argument is unused.
-  descend(app_->AccessibilityRoot(), "");
+  // The synthetic desktop root is not an entry; its children are the open
+  // window roots (null Parent(), so their paths start empty), and each one's
+  // subtree lands as one contiguous slice of entries_.
+  for (uia::Element* window_root : app_->AccessibilityRoot().Children()) {
+    const auto begin = static_cast<uint32_t>(entries_.size());
+    descend(*window_root, "");
+    windows_.push_back({window_root, begin, static_cast<uint32_t>(entries_.size())});
+  }
 
   // Second pass: entries_ no longer reallocates, so views into its id
   // strings are stable for the lifetime of this generation.
   by_id_.reserve(entries_.size());
-  for (VisibleEntry& entry : entries_) {
-    by_id_[std::string_view(entry.control_id)].push_back(entry.control);
+  for (uint32_t i = 0; i < entries_.size(); ++i) {
+    by_id_[std::string_view(entries_[i].control_id)].push_back(i);
   }
 
   valid_ = true;
   cached_generation_ = generation;
   ++rebuilds_;
   return true;
+}
+
+const VisibleIndex::WindowRange* VisibleIndex::RangeOf(const gsim::Window* window) const {
+  for (const WindowRange& range : windows_) {
+    if (range.root == &window->root()) {
+      return &range;
+    }
+  }
+  return nullptr;
 }
 
 const std::vector<VisibleEntry>& VisibleIndex::Visible(bool* rebuilt) {
@@ -126,7 +143,7 @@ gsim::Control* VisibleIndex::FindById(const std::string& control_id) {
     if (it == by_id_.end() || it->second.empty()) {
       return nullptr;
     }
-    return it->second.front();
+    return entries_[it->second.front()].control;
   }
   // Cold single lookup: an early-terminating walk beats paying for a full
   // rebuild that the next mutation would discard anyway (replay-heavy rip
@@ -187,7 +204,7 @@ gsim::Control* VisibleIndex::FindByIdEnsureFresh(const std::string& control_id,
   if (it == by_id_.end() || it->second.empty()) {
     return nullptr;
   }
-  return it->second.front();
+  return entries_[it->second.front()].control;
 }
 
 gsim::Control* VisibleIndex::FindByIdInWindow(const std::string& control_id,
@@ -197,15 +214,26 @@ gsim::Control* VisibleIndex::FindByIdInWindow(const std::string& control_id,
   }
   ++lookups_;
   auto it = by_id_.find(std::string_view(control_id));
-  if (it == by_id_.end()) {
+  const WindowRange* range = RangeOf(window);
+  if (it == by_id_.end() || range == nullptr) {
     return nullptr;
   }
-  for (gsim::Control* control : it->second) {
-    if (control->window() == window) {
-      return control;
+  for (uint32_t i : it->second) {
+    if (i >= range->begin && i < range->end) {
+      return entries_[i].control;
     }
   }
   return nullptr;
+}
+
+std::span<const VisibleEntry> VisibleIndex::WindowEntries(const gsim::Window* window) {
+  Refresh();
+  const WindowRange* range = RangeOf(window);
+  if (range == nullptr) {
+    return {};
+  }
+  return std::span<const VisibleEntry>(entries_).subspan(range->begin,
+                                                          range->end - range->begin);
 }
 
 }  // namespace ripper

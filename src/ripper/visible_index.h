@@ -12,6 +12,13 @@
 // are synthesized incrementally during the descent (O(1) amortized per
 // element) instead of re-walking the parent chain per element (O(depth)).
 //
+// Layout (DESIGN.md §7): entries are in desktop pre-order, and each open
+// window root's subtree is one contiguous slice of them, recorded per
+// generation. Every entry also records where the ancestor-path field starts
+// in its id. Together these let the visit executor score fuzzy candidates of
+// the top window straight from the index (WindowEntries) — no tree walk, no
+// id re-synthesis, no id re-parsing per candidate.
+//
 // Invalidation: any mutation that can change the visible tree or an id bumps
 // the application generation (clicks, popups, window open/close, renames,
 // scroll occlusion, reveal ticks, logical ticks); the next access rebuilds.
@@ -20,6 +27,7 @@
 #define SRC_RIPPER_VISIBLE_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -33,6 +41,14 @@ namespace ripper {
 struct VisibleEntry {
   std::string control_id;
   gsim::Control* control = nullptr;
+  // Where the ancestor-path field starts in control_id (just past the second
+  // separator the index wrote, so a '|' inside a name cannot shift it). Set
+  // by VisibleIndex; entries built elsewhere leave it 0.
+  uint32_t path_offset = 0;
+
+  std::string_view ancestor_path() const {
+    return std::string_view(control_id).substr(path_offset);
+  }
 };
 
 class VisibleIndex {
@@ -64,10 +80,17 @@ class VisibleIndex {
   gsim::Control* FindByIdEnsureFresh(const std::string& control_id,
                                      bool* rebuilt = nullptr);
 
-  // First visible control with this id whose containing window is `window`
+  // First visible control (pre-order) with this id inside `window`'s subtree
   // (the visit executor searches only the topmost valid window), or nullptr.
   gsim::Control* FindByIdInWindow(const std::string& control_id,
                                   const gsim::Window* window);
+
+  // The visible entries of `window`'s subtree, in pre-order: one contiguous
+  // slice of Visible(). Empty when the window is not open or its root is
+  // offscreen. Refreshes like Visible() but is not tallied as a capture — it
+  // extends a lookup (FindByIdInWindow) of the same generation. The span is
+  // valid until the next rebuild.
+  std::span<const VisibleEntry> WindowEntries(const gsim::Window* window);
 
   // Drops the cache; the next access rebuilds regardless of generation.
   void Invalidate() { valid_ = false; }
@@ -80,11 +103,21 @@ class VisibleIndex {
   bool valid_ = false;
   uint64_t cached_generation_ = 0;
   std::vector<VisibleEntry> entries_;
-  // id -> visible controls carrying it, in pre-order (ids are not guaranteed
-  // globally unique: non-unique AutomationIds, paper §5.7). Keys are views
-  // into entries_' id strings, built in a second pass once entries_ is
-  // final — no per-rebuild key copies.
-  std::unordered_map<std::string_view, std::vector<gsim::Control*>> by_id_;
+  // One slice of entries_ per open window (desktop child), bottom-most first.
+  struct WindowRange {
+    const uia::Element* root = nullptr;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  std::vector<WindowRange> windows_;
+  // The slice of `window`'s root, or nullptr when it is not a desktop child.
+  const WindowRange* RangeOf(const gsim::Window* window) const;
+  // id -> positions in entries_ of the visible controls carrying it, in
+  // pre-order (ids are not guaranteed globally unique: non-unique
+  // AutomationIds, paper §5.7). Keys are views into entries_' id strings,
+  // built in a second pass once entries_ is final — no per-rebuild key
+  // copies.
+  std::unordered_map<std::string_view, std::vector<uint32_t>> by_id_;
   // Lifetime tallies, flushed to the metrics registry by the destructor.
   // Plain fields on purpose: the warm lookup path must stay atomics-free.
   uint64_t rebuilds_ = 0;      // capture walks actually performed

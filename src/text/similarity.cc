@@ -1,7 +1,6 @@
 #include "src/text/similarity.h"
 
 #include <algorithm>
-#include <cctype>
 #include <set>
 #include <string>
 #include <vector>
@@ -9,10 +8,20 @@
 namespace textutil {
 namespace {
 
+// Word bytes: ASCII letters and digits, plus every byte >= 0x80, so UTF-8
+// encoded non-ASCII letters ("Шрифт") form words instead of vanishing. Only
+// ASCII is case-folded; explicit ranges keep this independent of the locale.
+bool IsWordByte(unsigned char c) {
+  return c >= 0x80 || (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
+}
+
+char AsciiLower(char c) { return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c; }
+
 std::string ToLowerCopy(std::string_view text) {
   std::string out(text);
   for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    c = AsciiLower(c);
   }
   return out;
 }
@@ -21,8 +30,8 @@ std::set<std::string> WordSet(std::string_view text) {
   std::set<std::string> words;
   std::string current;
   for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (IsWordByte(static_cast<unsigned char>(c))) {
+      current += AsciiLower(c);
     } else if (!current.empty()) {
       words.insert(current);
       current.clear();
@@ -94,7 +103,7 @@ bool IsWholeWordPrefix(std::string_view prefix, std::string_view full) {
   if (lo.empty() || hi.size() <= lo.size() || hi.compare(0, lo.size(), lo) != 0) {
     return false;
   }
-  return std::isalnum(static_cast<unsigned char>(hi[lo.size()])) == 0;
+  return !IsWordByte(static_cast<unsigned char>(hi[lo.size()]));
 }
 
 }  // namespace

@@ -17,7 +17,9 @@ size_t EditDistance(std::string_view a, std::string_view b);
 double NameSimilarity(std::string_view a, std::string_view b);
 
 // Token-set ratio: similarity of the sets of lowercase words, robust to word
-// reordering and decorations ("Bold (Ctrl+B)" vs "Bold"). In [0,1].
+// reordering and decorations ("Bold (Ctrl+B)" vs "Bold"). In [0,1]. Words
+// are runs of ASCII letters/digits and UTF-8 (>= 0x80) bytes; only ASCII is
+// case-folded.
 double TokenSetRatio(std::string_view a, std::string_view b);
 
 // Combined score used by the fuzzy matcher: max of character-level and

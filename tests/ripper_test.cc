@@ -8,6 +8,7 @@
 #include "src/gui/application.h"
 #include "src/ripper/identifier.h"
 #include "src/ripper/ripper.h"
+#include "src/ripper/visible_index.h"
 #include "src/topology/transform.h"
 #include "src/topology/validate.h"
 #include "src/uia/tree.h"
@@ -348,6 +349,95 @@ TEST(RipperTest, WordRipReachesPaperScale) {
       topo::SelectiveExternalize(decycled.dag, topo::kDefaultExternalizeThreshold);
   auto report = topo::ValidateForest(decycled.dag, forest);
   EXPECT_TRUE(report.ok) << (report.problems.empty() ? "" : report.problems[0]);
+}
+
+// ----- VisibleIndex layout (window slices, ancestor-path offsets) -----------------
+
+// Every entry's recorded path offset splits its id exactly where the legacy
+// synthesis puts the ancestor path, and the per-window slices partition the
+// pre-order capture in open-window order, each starting at its window root.
+void ExpectLayoutConsistent(gsim::Application& app, ripper::VisibleIndex& index) {
+  const std::vector<ripper::VisibleEntry>& all = index.Visible();
+  size_t next = 0;
+  for (gsim::Window* window : app.OpenWindows()) {
+    const std::span<const ripper::VisibleEntry> slice = index.WindowEntries(window);
+    ASSERT_FALSE(slice.empty()) << window->title();
+    EXPECT_EQ(slice.front().control, &window->root()) << window->title();
+    for (const ripper::VisibleEntry& entry : slice) {
+      ASSERT_LT(next, all.size());
+      EXPECT_EQ(&entry, &all[next]);
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, all.size());
+  for (const ripper::VisibleEntry& entry : all) {
+    EXPECT_EQ(entry.control_id, ripper::SynthesizeControlId(*entry.control));
+    EXPECT_EQ(entry.ancestor_path(), uia::AncestorPath(*entry.control)) << entry.control_id;
+  }
+}
+
+TEST(VisibleIndexTest, WindowSlicesAndPathOffsetsMatchTheLegacyCapture) {
+  apps::WordSim app;
+  ripper::VisibleIndex index(app);
+  ExpectLayoutConsistent(app, index);
+
+  // Open a dialog: two windows, two slices, and the exact probe is scoped.
+  gsim::Control* opener = nullptr;
+  gsim::Control* main_button = nullptr;
+  for (const ripper::VisibleEntry& entry : index.Visible()) {
+    if (opener == nullptr && entry.control->click_effect() == gsim::ClickEffect::kOpenDialog) {
+      opener = entry.control;
+    }
+    if (main_button == nullptr && entry.control->Type() == uia::ControlType::kButton) {
+      main_button = entry.control;
+    }
+  }
+  ASSERT_NE(opener, nullptr);
+  ASSERT_NE(main_button, nullptr);
+  const std::string main_id = ripper::SynthesizeControlId(*main_button);
+  ASSERT_TRUE(app.Click(*opener).ok());
+  gsim::Window* dialog = app.TopWindow();
+  ASSERT_NE(dialog, &app.main_window());
+  ExpectLayoutConsistent(app, index);
+  EXPECT_EQ(index.FindByIdInWindow(main_id, &app.main_window()), main_button);
+  EXPECT_EQ(index.FindByIdInWindow(main_id, dialog), nullptr);
+  const std::string dialog_root_id = ripper::SynthesizeControlId(dialog->root());
+  EXPECT_EQ(index.FindByIdInWindow(dialog_root_id, dialog), &dialog->root());
+
+  // A closed window has no slice.
+  app.CloseWindow(*dialog, /*commit=*/false);
+  EXPECT_TRUE(index.WindowEntries(dialog).empty());
+  EXPECT_EQ(index.FindByIdInWindow(dialog_root_id, dialog), nullptr);
+}
+
+TEST(VisibleIndexTest, SeparatorInNamesDoesNotShiftThePathOffset) {
+  apps::WordSim app;
+  ripper::VisibleIndex index(app);
+  // Rename a control with children (its name feeds their ancestor paths) and
+  // a leaf without an AutomationId (its name is the id's primary field).
+  gsim::Control* parent = nullptr;
+  gsim::Control* leaf = nullptr;
+  for (const ripper::VisibleEntry& entry : index.Visible()) {
+    gsim::Control* c = entry.control;
+    if (parent == nullptr && c != &app.main_window().root() && !c->StaticChildren().empty()) {
+      parent = c;
+    }
+    if (leaf == nullptr && c->StaticChildren().empty() && c->AutomationId().empty() &&
+        !c->TrueName().empty()) {
+      leaf = c;
+    }
+  }
+  ASSERT_NE(parent, nullptr);
+  ASSERT_NE(leaf, nullptr);
+  parent->RenameTo("Left|Right");
+  leaf->RenameTo("A|Button|B");
+  ExpectLayoutConsistent(app, index);
+  for (const ripper::VisibleEntry& entry : index.Visible()) {
+    if (entry.control == leaf) {
+      EXPECT_EQ(entry.control_id.substr(0, entry.path_offset), "A|Button|B|" +
+                    std::string(uia::ControlTypeName(leaf->Type())) + "|");
+    }
+  }
 }
 
 }  // namespace

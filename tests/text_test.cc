@@ -162,4 +162,23 @@ TEST(SimilarityTest, FuzzyScoreRejectsDifferentControls) {
   EXPECT_LT(textutil::FuzzyScore("OK", "Cancel"), 0.5);
 }
 
+// Non-ASCII (UTF-8) names form words: two different Cyrillic names must not
+// look identical just because neither has an ASCII letter.
+TEST(SimilarityTest, NonAsciiNamesAreWords) {
+  EXPECT_DOUBLE_EQ(textutil::TokenSetRatio("Шрифт", "Абзац"), 0.0);
+  EXPECT_LT(textutil::DecorationAwareScore("Шрифт", "Абзац"), 0.5);
+  EXPECT_LT(textutil::FuzzyScore("Шрифт", "Абзац"), 0.5);
+  EXPECT_DOUBLE_EQ(textutil::TokenSetRatio("Шрифт", "Шрифт"), 1.0);
+  EXPECT_DOUBLE_EQ(textutil::TokenSetRatio("Шрифт Абзац", "Абзац"), 0.5);
+  EXPECT_DOUBLE_EQ(textutil::TokenSetRatio("BOLD Шрифт", "bold Шрифт"), 1.0);
+}
+
+TEST(SimilarityTest, NonAsciiWholeWordPrefixNeedsAWordBoundary) {
+  // "Ш" is a byte prefix of "Шрифт" but not a whole word of it.
+  EXPECT_LT(textutil::DecorationAwareScore("Ш", "Шрифт"), 0.72);
+  // A decorated non-ASCII name still matches its model name.
+  EXPECT_GT(textutil::DecorationAwareScore("Шрифт", "Шрифт (Ctrl+D)"), 0.72);
+  EXPECT_GT(textutil::FuzzyScore("Шрифт", "Шрифт..."), 0.72);
+}
+
 }  // namespace

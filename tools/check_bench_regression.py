@@ -49,6 +49,7 @@ SKIP = 77
 # latency-style metrics where lower is better.
 CHECKS = [
     ("micro_capture", "lookup", "app", "warm_find_speedup"),
+    ("micro_capture", "fuzzy_locate", "app", "fuzzy_locate_speedup"),
     ("micro_describe", "describe", "app", "warm_full_speedup"),
     ("micro_describe", "describe", "app", "warm_prompt_speedup"),
     ("micro_session", "sessions", "app", "warm_session_speedup"),
